@@ -29,7 +29,6 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"log/slog"
 	"net"
 	"net/http"
 	_ "net/http/pprof" // handlers gated behind the -pprof flag
@@ -86,11 +85,7 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 		return cli.Usagef("-breaker-threshold must be nonnegative, got %d", *breakerThreshold)
 	}
 
-	logDst := io.Writer(os.Stderr)
-	if *quiet {
-		logDst = io.Discard
-	}
-	logger := slog.New(slog.NewTextHandler(logDst, nil))
+	logger := cli.Logger(*quiet)
 
 	var dumpDst io.Writer
 	if *flightDump {
@@ -114,18 +109,7 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 
 	// SIGQUIT dumps the flight recorder to stderr without stopping the
 	// daemon — the "what just happened" lever for a wedged process.
-	quitc := make(chan os.Signal, 1)
-	signal.Notify(quitc, syscall.SIGQUIT)
-	defer signal.Stop(quitc)
-	go func() {
-		for range quitc {
-			fmt.Fprintln(os.Stderr, "numaiod flight recorder dump (SIGQUIT):")
-			if err := svc.DumpFlightRecorder(os.Stderr); err != nil {
-				fmt.Fprintln(os.Stderr, err)
-			}
-			fmt.Fprintln(os.Stderr)
-		}
-	}()
+	defer svc.Obs().DumpOnQuit(os.Stderr)()
 
 	ln, err := net.Listen("tcp", *addr)
 	if err != nil {

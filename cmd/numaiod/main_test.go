@@ -97,6 +97,9 @@ func TestServeAndGracefulShutdown(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// Read the whole body: its end is sent only after the middleware has
+	// counted the request, so the /metrics read below cannot race it.
+	io.Copy(io.Discard, resp.Body)
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("characterize = %d", resp.StatusCode)

@@ -34,7 +34,6 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"log/slog"
 	"net"
 	"net/http"
 	"os"
@@ -124,11 +123,7 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 		return err
 	}
 
-	logDst := io.Writer(os.Stderr)
-	if *quiet {
-		logDst = io.Discard
-	}
-	logger := slog.New(slog.NewTextHandler(logDst, nil))
+	logger := cli.Logger(*quiet)
 
 	var dumpDst io.Writer
 	if *flightDump {
@@ -150,18 +145,7 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 
 	// SIGQUIT dumps the flight recorder to stderr without stopping the
 	// gateway, mirroring numaiod.
-	quitc := make(chan os.Signal, 1)
-	signal.Notify(quitc, syscall.SIGQUIT)
-	defer signal.Stop(quitc)
-	go func() {
-		for range quitc {
-			fmt.Fprintln(os.Stderr, "numaiogw flight recorder dump (SIGQUIT):")
-			if err := gw.DumpFlightRecorder(os.Stderr); err != nil {
-				fmt.Fprintln(os.Stderr, err)
-			}
-			fmt.Fprintln(os.Stderr)
-		}
-	}()
+	defer gw.Obs().DumpOnQuit(os.Stderr)()
 
 	ln, err := net.Listen("tcp", *addr)
 	if err != nil {

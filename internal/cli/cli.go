@@ -10,6 +10,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"log/slog"
 	"os"
 
 	"numaio/internal/topology"
@@ -110,4 +111,14 @@ func Parse(fs *flag.FlagSet, args []string) error {
 		return Usage(err)
 	}
 	return nil
+}
+
+// Logger is the daemons' log: text on stderr, or, when quiet, a logger on
+// io.Discard with its level above Error, so callers that check Enabled
+// skip building log attributes altogether.
+func Logger(quiet bool) *slog.Logger {
+	if quiet {
+		return slog.New(slog.NewTextHandler(io.Discard, &slog.HandlerOptions{Level: slog.LevelError + 1}))
+	}
+	return slog.New(slog.NewTextHandler(os.Stderr, nil))
 }

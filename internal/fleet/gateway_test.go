@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"numaio/internal/cli"
+	"numaio/internal/httpobs"
 	"numaio/internal/service"
 	"numaio/internal/topology"
 )
@@ -97,7 +98,7 @@ func TestGatewayRoutesToOwner(t *testing.T) {
 		if name == owner {
 			want = 1
 		}
-		if got := svc.Metrics().RequestCount("/v1/predict"); got != want {
+		if got := svc.Obs().RequestCount("/v1/predict"); got != want {
 			t.Errorf("replica %s saw %d predicts, want %d (owner %s)", name, got, want, owner)
 		}
 	}
@@ -125,7 +126,7 @@ func TestGatewayFailoverProxies(t *testing.T) {
 	}
 	// The successor, not some arbitrary replica, absorbed the key.
 	successor := tf.gw.Ring().Owners(fingerprintOf(t, "intel-4s4n"), 2)[1]
-	if got := tf.services[successor].Metrics().RequestCount("/v1/predict"); got != 1 {
+	if got := tf.services[successor].Obs().RequestCount("/v1/predict"); got != 1 {
 		t.Errorf("ring successor %s saw %d predicts, want 1", successor, got)
 	}
 }
@@ -148,7 +149,7 @@ func TestGatewayAllReplicasDown(t *testing.T) {
 func TestGatewayRequestID(t *testing.T) {
 	var seen []string
 	fake := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		seen = append(seen, r.Header.Get(RequestIDHeader))
+		seen = append(seen, r.Header.Get(httpobs.RequestIDHeader))
 		w.Header().Set("Content-Type", "application/json")
 		fmt.Fprintln(w, `{"ok": true}`)
 	}))
@@ -160,13 +161,13 @@ func TestGatewayRequestID(t *testing.T) {
 	}
 
 	req := httptest.NewRequest(http.MethodPost, "/v1/predict", strings.NewReader(predictBody))
-	req.Header.Set(RequestIDHeader, "trace-me-42")
+	req.Header.Set(httpobs.RequestIDHeader, "trace-me-42")
 	rec := httptest.NewRecorder()
 	gw.Handler().ServeHTTP(rec, req)
 	if len(seen) != 1 || seen[0] != "trace-me-42" {
 		t.Errorf("replica saw request IDs %v, want [trace-me-42]", seen)
 	}
-	if got := rec.Header().Get(RequestIDHeader); got != "trace-me-42" {
+	if got := rec.Header().Get(httpobs.RequestIDHeader); got != "trace-me-42" {
 		t.Errorf("response request ID = %q", got)
 	}
 
@@ -176,8 +177,8 @@ func TestGatewayRequestID(t *testing.T) {
 	if len(seen) != 1 || !strings.HasPrefix(seen[0], "gw-") {
 		t.Errorf("generated request ID %v, want gw- prefix", seen)
 	}
-	if rec.Header().Get(RequestIDHeader) != seen[0] {
-		t.Errorf("response ID %q != forwarded ID %q", rec.Header().Get(RequestIDHeader), seen[0])
+	if rec.Header().Get(httpobs.RequestIDHeader) != seen[0] {
+		t.Errorf("response ID %q != forwarded ID %q", rec.Header().Get(httpobs.RequestIDHeader), seen[0])
 	}
 }
 

@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"numaio/internal/httpobs"
 	"numaio/internal/telemetry"
 )
 
@@ -20,7 +21,7 @@ func TestGatewayTracePropagation(t *testing.T) {
 	parent := telemetry.NewTraceContext()
 	hdr := http.Header{}
 	hdr.Set(telemetry.TraceCtxHeader, parent.String())
-	hdr.Set(RequestIDHeader, "trace-rid-1")
+	hdr.Set(httpobs.RequestIDHeader, "trace-rid-1")
 
 	rec := tf.do(t, http.MethodPost, "/v1/predict", predictBody, hdr)
 	if rec.Code != http.StatusOK {
@@ -48,7 +49,7 @@ func TestGatewayTracePropagation(t *testing.T) {
 	}
 	owner := tf.gw.Ring().Owner(fingerprintOf(t, "intel-4s4n"))
 	var replicaDump bytes.Buffer
-	if err := tf.services[owner].DumpFlightRecorder(&replicaDump); err != nil {
+	if err := tf.services[owner].Obs().DumpFlightRecorder(&replicaDump); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(replicaDump.String(), parent.TraceID) {
@@ -56,27 +57,6 @@ func TestGatewayTracePropagation(t *testing.T) {
 	}
 	if !strings.Contains(replicaDump.String(), "trace-rid-1") {
 		t.Error("owner replica's flight recorder lacks the forwarded request ID")
-	}
-}
-
-// TestGatewayServerTiming checks the client sees both hops' stage
-// attributions: the gateway's route/forward breakdown and the replica's
-// passed-through Server-Timing line.
-func TestGatewayServerTiming(t *testing.T) {
-	tf := newTestFleet(t, 3, nil)
-	rec := tf.do(t, http.MethodPost, "/v1/predict", predictBody, nil)
-	if rec.Code != http.StatusOK {
-		t.Fatalf("predict = %d: %s", rec.Code, rec.Body)
-	}
-	values := rec.Header().Values("Server-Timing")
-	joined := strings.Join(values, " | ")
-	for _, stage := range []string{"route;dur=", "forward;dur=", "solve;dur="} {
-		if !strings.Contains(joined, stage) {
-			t.Errorf("Server-Timing %q lacks %q", joined, stage)
-		}
-	}
-	if len(values) < 2 {
-		t.Errorf("want separate gateway and replica Server-Timing values, got %v", values)
 	}
 }
 
@@ -158,7 +138,7 @@ func TestGatewayTraceLifecycle(t *testing.T) {
 func TestGatewayMetricsExposition(t *testing.T) {
 	tf := newTestFleet(t, 2, nil)
 	hdr := http.Header{}
-	hdr.Set(RequestIDHeader, "gw-exemplar-5")
+	hdr.Set(httpobs.RequestIDHeader, "gw-exemplar-5")
 	if rec := tf.do(t, http.MethodPost, "/v1/predict", predictBody, hdr); rec.Code != http.StatusOK {
 		t.Fatalf("predict = %d", rec.Code)
 	}

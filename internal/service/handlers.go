@@ -14,6 +14,7 @@ import (
 	"numaio/internal/cli"
 	"numaio/internal/cluster"
 	"numaio/internal/core"
+	"numaio/internal/httpobs"
 	"numaio/internal/numa"
 	"numaio/internal/sched"
 	"numaio/internal/telemetry"
@@ -54,14 +55,6 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	fmt.Fprintln(w, "ok")
 }
 
-func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	// WriteMetrics renders the historical block first, then the additive
-	// series (solver, pool, occupancy, trace and flight state) — so the
-	// historical bytes, and every scraper grep, stay untouched.
-	s.WriteMetrics(w)
-}
-
 type characterizeRequest struct {
 	Machine json.RawMessage `json:"machine,omitempty"`
 	Config  *configJSON     `json:"config,omitempty"`
@@ -81,13 +74,12 @@ type characterizeResponse struct {
 
 func (s *Server) handleCharacterize(w http.ResponseWriter, r *http.Request) {
 	var req characterizeRequest
-	if err := decodeBody(r, &req); err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
+	if !httpobs.DecodeJSON(w, r, &req) {
 		return
 	}
 	m, err := cli.ResolveMachine(req.Machine)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
+		httpobs.WriteError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
 	cfg := req.Config.toCore()
@@ -105,19 +97,19 @@ func (s *Server) handleCharacterize(w http.ResponseWriter, r *http.Request) {
 			s.jobs.SetState(job.ID, JobDone, mm.Fingerprint, nil)
 		})
 		if err != nil {
-			writeError(w, http.StatusServiceUnavailable, "%v", err)
+			httpobs.WriteError(w, http.StatusServiceUnavailable, "%v", err)
 			return
 		}
-		writeJSON(w, http.StatusAccepted, snapshot)
+		httpobs.WriteJSON(w, http.StatusAccepted, snapshot)
 		return
 	}
 
 	mm, fp, cached, stale, err := s.characterizeCached(r.Context(), m, cfg)
 	if err != nil {
-		writeError(w, errStatus(err), "characterization failed: %v", err)
+		httpobs.WriteError(w, errStatus(err), "characterization failed: %v", err)
 		return
 	}
-	writeJSON(w, http.StatusOK, characterizeResponse{
+	httpobs.WriteJSON(w, http.StatusOK, characterizeResponse{
 		Fingerprint:   fp,
 		Cached:        cached,
 		CostReduction: mm.CostReduction(),
@@ -130,20 +122,20 @@ func (s *Server) handleModel(w http.ResponseWriter, r *http.Request) {
 	fp := r.PathValue("fingerprint")
 	mm, ok := s.cache.FindByFingerprint(fp)
 	if !ok {
-		writeError(w, http.StatusNotFound, "no cached model with fingerprint %q", fp)
+		httpobs.WriteError(w, http.StatusNotFound, "no cached model with fingerprint %q", fp)
 		return
 	}
-	writeJSON(w, http.StatusOK, mm)
+	httpobs.WriteJSON(w, http.StatusOK, mm)
 }
 
 func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	job, ok := s.jobs.Get(id)
 	if !ok {
-		writeError(w, http.StatusNotFound, "no job %q", id)
+		httpobs.WriteError(w, http.StatusNotFound, "no job %q", id)
 		return
 	}
-	writeJSON(w, http.StatusOK, job)
+	httpobs.WriteJSON(w, http.StatusOK, job)
 }
 
 type predictRequest struct {
@@ -266,22 +258,21 @@ func appendMixKey(b *strings.Builder, mix map[string]float64, counts map[string]
 
 func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 	var req predictRequest
-	if err := decodeBody(r, &req); err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
+	if !httpobs.DecodeJSON(w, r, &req) {
 		return
 	}
 	// Cheap validation before any model work, so malformed requests cannot
 	// trigger a characterization.
 	if _, err := core.ParseMode(req.Mode); err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
+		httpobs.WriteError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
 	if (len(req.Mix) == 0) == (len(req.Counts) == 0) {
-		writeError(w, http.StatusBadRequest, "exactly one of mix or counts is required")
+		httpobs.WriteError(w, http.StatusBadRequest, "exactly one of mix or counts is required")
 		return
 	}
 	if err := firstErr(validateNodeKeys(req.Mix), validateNodeKeys(req.Counts)); err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
+		httpobs.WriteError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
 	cfg := req.Config.toCore()
@@ -290,17 +281,17 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 	body, hit := s.predictCache.Get(key)
 	telemetry.StagesFromContext(r.Context()).Add("cache", time.Since(lookupStart))
 	if hit {
-		writeJSONBytes(w, http.StatusOK, body)
+		httpobs.WriteJSONBytes(w, http.StatusOK, body)
 		return
 	}
 	mm, status, err := s.modelForRequest(r.Context(), req.Fingerprint, req.Machine, cfg)
 	if err != nil {
-		writeError(w, status, "%v", err)
+		httpobs.WriteError(w, status, "%v", err)
 		return
 	}
 	predicted, err := predictOne(mm, req.Target, req.Mode, req.Mix, req.Counts)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
+		httpobs.WriteError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
 	writeJSONCached(w, http.StatusOK, predictResponse{
@@ -345,17 +336,16 @@ type predictBatchResponse struct {
 
 func (s *Server) handlePredictBatch(w http.ResponseWriter, r *http.Request) {
 	var req predictBatchRequest
-	if err := decodeBody(r, &req); err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
+	if !httpobs.DecodeJSON(w, r, &req) {
 		return
 	}
 	if len(req.Items) == 0 {
-		writeError(w, http.StatusBadRequest, "batch has no items")
+		httpobs.WriteError(w, http.StatusBadRequest, "batch has no items")
 		return
 	}
 	mm, status, err := s.modelForRequest(r.Context(), req.Fingerprint, req.Machine, req.Config.toCore())
 	if err != nil {
-		writeError(w, status, "%v", err)
+		httpobs.WriteError(w, status, "%v", err)
 		return
 	}
 	resp := predictBatchResponse{
@@ -372,7 +362,7 @@ func (s *Server) handlePredictBatch(w http.ResponseWriter, r *http.Request) {
 		}
 		resp.Results[i] = res
 	}
-	writeJSON(w, http.StatusOK, resp)
+	httpobs.WriteJSON(w, http.StatusOK, resp)
 }
 
 // validateNodeKeys checks that every key parses as a node ID without
@@ -466,12 +456,11 @@ func placeCacheKey(req *placeRequest, cfg core.Config) string {
 
 func (s *Server) handlePlace(w http.ResponseWriter, r *http.Request) {
 	var req placeRequest
-	if err := decodeBody(r, &req); err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
+	if !httpobs.DecodeJSON(w, r, &req) {
 		return
 	}
 	if req.Tasks <= 0 {
-		writeError(w, http.StatusBadRequest, "tasks must be positive")
+		httpobs.WriteError(w, http.StatusBadRequest, "tasks must be positive")
 		return
 	}
 	engine := req.Engine
@@ -485,17 +474,17 @@ func (s *Server) handlePlace(w http.ResponseWriter, r *http.Request) {
 	body, hit := s.placeCache.Get(key)
 	telemetry.StagesFromContext(r.Context()).Add("cache", time.Since(lookupStart))
 	if hit {
-		writeJSONBytes(w, http.StatusOK, body)
+		httpobs.WriteJSONBytes(w, http.StatusOK, body)
 		return
 	}
 	m, err := cli.ResolveMachine(req.Machine)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
+		httpobs.WriteError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
 	mm, _, _, _, err := s.characterizeCached(r.Context(), m, cfg)
 	if err != nil {
-		writeError(w, errStatus(err), "%v", err)
+		httpobs.WriteError(w, errStatus(err), "%v", err)
 		return
 	}
 	target := topology.NodeID(req.Target)
@@ -503,7 +492,7 @@ func (s *Server) handlePlace(w http.ResponseWriter, r *http.Request) {
 
 	if req.Replicas > 1 {
 		if err := s.placeCluster(&resp, m, mm, target, engine, req); err != nil {
-			writeError(w, http.StatusBadRequest, "%v", err)
+			httpobs.WriteError(w, http.StatusBadRequest, "%v", err)
 			return
 		}
 		writeJSONCached(w, http.StatusOK, resp, s.placeCache, key)
@@ -512,12 +501,12 @@ func (s *Server) handlePlace(w http.ResponseWriter, r *http.Request) {
 
 	sys, err := numa.NewSystem(m.Clone())
 	if err != nil {
-		writeError(w, http.StatusInternalServerError, "%v", err)
+		httpobs.WriteError(w, http.StatusInternalServerError, "%v", err)
 		return
 	}
 	sch, err := sched.FromMachineModel(sys, mm, target)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
+		httpobs.WriteError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
 	policies := req.Policies
@@ -529,12 +518,12 @@ func (s *Server) handlePlace(w http.ResponseWriter, r *http.Request) {
 	for _, ps := range policies {
 		p, err := sched.ParsePolicy(ps)
 		if err != nil {
-			writeError(w, http.StatusBadRequest, "%v", err)
+			httpobs.WriteError(w, http.StatusBadRequest, "%v", err)
 			return
 		}
 		placement, err := sch.Place(engine, req.Tasks, p)
 		if err != nil {
-			writeError(w, http.StatusBadRequest, "%v", err)
+			httpobs.WriteError(w, http.StatusBadRequest, "%v", err)
 			return
 		}
 		res := placementResult{Policy: ps, Placement: nodeInts(placement)}
@@ -544,7 +533,7 @@ func (s *Server) handlePlace(w http.ResponseWriter, r *http.Request) {
 		if req.Evaluate {
 			rep, err := sch.Evaluate(engine, placement, units.Size(req.SizePerTask))
 			if err != nil {
-				writeError(w, http.StatusInternalServerError, "%v", err)
+				httpobs.WriteError(w, http.StatusInternalServerError, "%v", err)
 				return
 			}
 			res.MeasuredBPS = float64(rep.Aggregate)
@@ -644,35 +633,34 @@ type whatifResponse struct {
 
 func (s *Server) handleWhatif(w http.ResponseWriter, r *http.Request) {
 	var req whatifRequest
-	if err := decodeBody(r, &req); err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
+	if !httpobs.DecodeJSON(w, r, &req) {
 		return
 	}
 	if len(req.Degrade) == 0 {
-		writeError(w, http.StatusBadRequest, "degrade list is empty: nothing to re-characterize")
+		httpobs.WriteError(w, http.StatusBadRequest, "degrade list is empty: nothing to re-characterize")
 		return
 	}
 	base, err := cli.ResolveMachine(req.Machine)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
+		httpobs.WriteError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
 	mutant := base.Clone()
 	for _, d := range req.Degrade {
 		if err := mutant.DegradeLinkBetween(d.A, d.B, d.Factor); err != nil {
-			writeError(w, http.StatusBadRequest, "%v", err)
+			httpobs.WriteError(w, http.StatusBadRequest, "%v", err)
 			return
 		}
 	}
 	cfg := req.Config.toCore()
 	beforeMM, beforeFP, _, _, err := s.characterizeCached(r.Context(), base, cfg)
 	if err != nil {
-		writeError(w, errStatus(err), "%v", err)
+		httpobs.WriteError(w, errStatus(err), "%v", err)
 		return
 	}
 	afterMM, afterFP, _, _, err := s.characterizeCached(r.Context(), mutant, cfg)
 	if err != nil {
-		writeError(w, errStatus(err), "%v", err)
+		httpobs.WriteError(w, errStatus(err), "%v", err)
 		return
 	}
 
@@ -684,22 +672,22 @@ func (s *Server) handleWhatif(w http.ResponseWriter, r *http.Request) {
 	for _, ms := range modes {
 		mode, err := core.ParseMode(ms)
 		if err != nil {
-			writeError(w, http.StatusBadRequest, "%v", err)
+			httpobs.WriteError(w, http.StatusBadRequest, "%v", err)
 			return
 		}
 		before, err := beforeMM.ModelFor(topology.NodeID(req.Target), mode)
 		if err != nil {
-			writeError(w, http.StatusBadRequest, "%v", err)
+			httpobs.WriteError(w, http.StatusBadRequest, "%v", err)
 			return
 		}
 		after, err := afterMM.ModelFor(topology.NodeID(req.Target), mode)
 		if err != nil {
-			writeError(w, http.StatusBadRequest, "%v", err)
+			httpobs.WriteError(w, http.StatusBadRequest, "%v", err)
 			return
 		}
 		diffs, err := core.Diff(before, after)
 		if err != nil {
-			writeError(w, http.StatusInternalServerError, "%v", err)
+			httpobs.WriteError(w, http.StatusInternalServerError, "%v", err)
 			return
 		}
 		res := whatifModeResult{Mode: ms}
@@ -720,5 +708,5 @@ func (s *Server) handleWhatif(w http.ResponseWriter, r *http.Request) {
 		sort.Ints(res.ChangedNodes)
 		resp.Results = append(resp.Results, res)
 	}
-	writeJSON(w, http.StatusOK, resp)
+	httpobs.WriteJSON(w, http.StatusOK, resp)
 }

@@ -3,33 +3,20 @@ package service
 import (
 	"fmt"
 	"io"
-	"sort"
-	"sync"
 	"time"
 
 	"numaio/internal/telemetry"
 )
 
-// Metrics is the daemon's request-path metric state, built on the
-// telemetry package's sharded atomic primitives: request counting and
-// latency observation take no global lock, so the serving fast lane never
-// serializes on a metrics mutex. WriteTo renders the historical
-// Prometheus-style text byte-for-byte — every pre-existing metric name and
-// ordering is preserved (serve-smoke greps and scrapers depend on it).
+// Metrics is the daemon's characterization metric state, built on the
+// telemetry package's sharded atomic primitives so no update takes a
+// global lock. Request counts and latency live in the shared middleware
+// (internal/httpobs). WriteTo renders the historical Prometheus-style text
+// byte-for-byte — every pre-existing metric name and ordering is preserved
+// (serve-smoke greps and scrapers depend on it).
 type Metrics struct {
-	// requests maps endpoint -> per-status counters. The endpoint set is
-	// tiny and fixed after startup, so lookups take a read lock and the
-	// per-status increment is a sharded atomic add.
-	epMu     sync.RWMutex
-	requests map[string]*telemetry.IntCounterVec
-
 	// lat is the characterization latency histogram (seconds).
 	lat *telemetry.BucketHistogram
-
-	// reqLat is the whole-request (v1 endpoints) latency histogram, with
-	// the last request ID per bucket kept as an exemplar so a slow bucket
-	// in /metrics links to a concrete request in the flight recorder.
-	reqLat *telemetry.BucketHistogram
 
 	// parallelism is the daemon's configured measurement worker-pool
 	// width, exported as a gauge so latency shifts can be correlated with
@@ -47,17 +34,9 @@ type Metrics struct {
 // multi-second whole-host characterizations.
 var defaultLatencyBuckets = []float64{0.001, 0.005, 0.025, 0.1, 0.5, 1, 2.5, 5, 10, 30}
 
-// requestLatencyBuckets cover cache-hit responses (tens of microseconds)
-// up to characterize-on-miss requests.
-var requestLatencyBuckets = []float64{0.0001, 0.0005, 0.001, 0.005, 0.025, 0.1, 0.5, 1, 5}
-
 // NewMetrics builds an empty registry.
 func NewMetrics() *Metrics {
-	return &Metrics{
-		requests: make(map[string]*telemetry.IntCounterVec),
-		lat:      telemetry.NewBucketHistogram(defaultLatencyBuckets),
-		reqLat:   telemetry.NewBucketHistogram(requestLatencyBuckets),
-	}
+	return &Metrics{lat: telemetry.NewBucketHistogram(defaultLatencyBuckets)}
 }
 
 // SetParallelism records the daemon's measurement worker-pool width.
@@ -72,88 +51,16 @@ func (m *Metrics) ObserveStaleServed() { m.staleServed.Inc() }
 // StaleServed returns the stale-response counter (tests).
 func (m *Metrics) StaleServed() int64 { return m.staleServed.Value() }
 
-// ObserveRequest counts one served request. The hot path — an endpoint
-// seen before — is a read-locked map lookup plus an atomic increment.
-func (m *Metrics) ObserveRequest(endpoint string, status int) {
-	m.epMu.RLock()
-	vec, ok := m.requests[endpoint]
-	m.epMu.RUnlock()
-	if !ok {
-		m.epMu.Lock()
-		if vec, ok = m.requests[endpoint]; !ok {
-			vec = telemetry.NewIntCounterVec()
-			m.requests[endpoint] = vec
-		}
-		m.epMu.Unlock()
-	}
-	vec.With(status).Inc()
-}
-
 // ObserveCharacterization records one Algorithm 1 run's wall time.
 func (m *Metrics) ObserveCharacterization(d time.Duration) {
 	m.lat.Observe(d.Seconds())
 }
 
-// ObserveRequestLatency records one v1 request's wall time in seconds,
-// keeping rid as the bucket's exemplar.
-func (m *Metrics) ObserveRequestLatency(seconds float64, rid string) {
-	m.reqLat.ObserveExemplar(seconds, rid)
-}
-
-// RequestLatency returns the v1 request latency histogram for rendering.
-func (m *Metrics) RequestLatency() *telemetry.BucketHistogram { return m.reqLat }
-
-// RequestCount returns the total requests seen for an endpoint (all
-// statuses); handy for tests.
-func (m *Metrics) RequestCount(endpoint string) int64 {
-	m.epMu.RLock()
-	vec := m.requests[endpoint]
-	m.epMu.RUnlock()
-	if vec == nil {
-		return 0
-	}
-	var total int64
-	for _, s := range vec.Keys() {
-		total += vec.Value(s)
-	}
-	return total
-}
-
-// WriteTo renders the registry (plus the supplied cache, job and breaker
-// gauges) in the Prometheus text exposition format.
+// WriteTo renders the characterization metrics (plus the supplied cache,
+// job and breaker gauges) in the Prometheus text exposition format.
 func (m *Metrics) WriteTo(w io.Writer, cache CacheStats, predict, place RespCacheStats, inflightJobs int64, openBreakers int) {
-	fmt.Fprintln(w, "# HELP numaiod_requests_total Requests served, by endpoint and status.")
-	fmt.Fprintln(w, "# TYPE numaiod_requests_total counter")
-	m.epMu.RLock()
-	endpoints := make([]string, 0, len(m.requests))
-	for e := range m.requests {
-		endpoints = append(endpoints, e)
-	}
-	vecs := make(map[string]*telemetry.IntCounterVec, len(endpoints))
-	for _, e := range endpoints {
-		vecs[e] = m.requests[e]
-	}
-	m.epMu.RUnlock()
-	sort.Strings(endpoints)
-	for _, e := range endpoints {
-		for _, s := range vecs[e].Keys() {
-			fmt.Fprintf(w, "numaiod_requests_total{endpoint=%q,status=\"%d\"} %d\n", e, s, vecs[e].Value(s))
-		}
-	}
-
-	fmt.Fprintln(w, "# HELP numaiod_characterize_seconds Wall time of Algorithm 1 characterizations.")
-	fmt.Fprintln(w, "# TYPE numaiod_characterize_seconds histogram")
-	counts := m.lat.Counts()
-	bounds := m.lat.Bounds()
-	var cum int64
-	for i, le := range bounds {
-		cum += counts[i]
-		fmt.Fprintf(w, "numaiod_characterize_seconds_bucket{le=\"%g\"} %d\n", le, cum)
-	}
-	cum += counts[len(bounds)]
-	fmt.Fprintf(w, "numaiod_characterize_seconds_bucket{le=\"+Inf\"} %d\n", cum)
-	fmt.Fprintf(w, "numaiod_characterize_seconds_sum %g\n", m.lat.Sum())
-	fmt.Fprintf(w, "numaiod_characterize_seconds_count %d\n", m.lat.Total())
+	telemetry.HistogramSeries("numaiod_characterize_seconds",
+		"Wall time of Algorithm 1 characterizations.", m.lat).Render(w)
 
 	fmt.Fprintln(w, "# HELP numaiod_characterize_parallelism Configured measurement worker-pool width.")
 	fmt.Fprintln(w, "# TYPE numaiod_characterize_parallelism gauge")

@@ -38,50 +38,6 @@ func doRequest(t *testing.T, method, url, body string, hdr map[string]string) *h
 	return resp
 }
 
-// TestTraceContextPropagation checks the middleware's X-Trace-Ctx handling:
-// a request without the header gets a freshly minted context echoed back,
-// and a request carrying one gets a child — same trace ID, new span ID —
-// so one trace ID follows a request across fleet hops.
-func TestTraceContextPropagation(t *testing.T) {
-	var runs atomic.Int64
-	ts := newTestServer(t, &runs)
-
-	resp := doRequest(t, http.MethodPost, ts.URL+"/v1/predict", predictBody, nil)
-	io.Copy(io.Discard, resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("predict = %d", resp.StatusCode)
-	}
-	minted, ok := telemetry.ParseTraceContext(resp.Header.Get(telemetry.TraceCtxHeader))
-	if !ok {
-		t.Fatalf("response X-Trace-Ctx %q does not parse", resp.Header.Get(telemetry.TraceCtxHeader))
-	}
-
-	parent := telemetry.NewTraceContext()
-	resp = doRequest(t, http.MethodPost, ts.URL+"/v1/predict", predictBody, map[string]string{
-		telemetry.TraceCtxHeader: parent.String(),
-		"X-Request-Id":           "prop-rid-1",
-	})
-	io.Copy(io.Discard, resp.Body)
-	resp.Body.Close()
-	child, ok := telemetry.ParseTraceContext(resp.Header.Get(telemetry.TraceCtxHeader))
-	if !ok {
-		t.Fatalf("response X-Trace-Ctx %q does not parse", resp.Header.Get(telemetry.TraceCtxHeader))
-	}
-	if child.TraceID != parent.TraceID {
-		t.Errorf("child trace ID %s, want parent's %s", child.TraceID, parent.TraceID)
-	}
-	if child.SpanID == parent.SpanID {
-		t.Error("child kept the parent span ID")
-	}
-	if child.TraceID == minted.TraceID {
-		t.Error("two unrelated requests share a trace ID")
-	}
-	if got := resp.Header.Get("X-Request-Id"); got != "prop-rid-1" {
-		t.Errorf("X-Request-Id echo = %q", got)
-	}
-}
-
 // TestServerTimingStages checks v1 responses carry the per-request stage
 // breakdown: a characterize-on-miss predict reports solve time, and a
 // response-cache hit reports only the cache lookup.
@@ -169,20 +125,6 @@ func TestFlightRecorderEndpoint(t *testing.T) {
 	}
 	if !found {
 		t.Errorf("no flight event for the predict request:\n%s", body)
-	}
-}
-
-// TestFlightRecorderDisabled checks a negative FlightRecorderSize turns the
-// endpoint into a 404 and DumpFlightRecorder into an error.
-func TestFlightRecorderDisabled(t *testing.T) {
-	svc := service.New(service.Config{FlightRecorderSize: -1})
-	ts := httptest.NewServer(svc.Handler())
-	t.Cleanup(ts.Close)
-	if status, _ := getJSON(t, ts.URL+"/debug/flightrecorder"); status != http.StatusNotFound {
-		t.Errorf("disabled flightrecorder = %d, want 404", status)
-	}
-	if err := svc.DumpFlightRecorder(io.Discard); err == nil {
-		t.Error("DumpFlightRecorder succeeded with the recorder disabled")
 	}
 }
 

@@ -8,6 +8,7 @@ import (
 	"strings"
 
 	"numaio/internal/core"
+	"numaio/internal/httpobs"
 	"numaio/internal/telemetry"
 )
 
@@ -47,16 +48,15 @@ func (s *Server) installModel(fp string, mm *core.MachineModel) error {
 func (s *Server) handleModelInstall(w http.ResponseWriter, r *http.Request) {
 	fp := r.PathValue("fingerprint")
 	var mm core.MachineModel
-	if err := decodeBody(r, &mm); err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
+	if !httpobs.DecodeJSON(w, r, &mm) {
 		return
 	}
 	if err := s.installModel(fp, &mm); err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
+		httpobs.WriteError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
 	s.log.Info("model installed", "fingerprint", fp, "source", "push")
-	writeJSON(w, http.StatusOK, map[string]any{"fingerprint": fp, "installed": true})
+	httpobs.WriteJSON(w, http.StatusOK, map[string]any{"fingerprint": fp, "installed": true})
 }
 
 // modelPullRequest is the POST /v1/models/pull body.
@@ -71,56 +71,53 @@ type modelPullRequest struct {
 // replication, driven by the gateway's hot-model tracking).
 func (s *Server) handleModelPull(w http.ResponseWriter, r *http.Request) {
 	var req modelPullRequest
-	if err := decodeBody(r, &req); err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
+	if !httpobs.DecodeJSON(w, r, &req) {
 		return
 	}
 	if req.Fingerprint == "" || req.Source == "" {
-		writeError(w, http.StatusBadRequest, "fingerprint and source are required")
+		httpobs.WriteError(w, http.StatusBadRequest, "fingerprint and source are required")
 		return
 	}
 	if _, ok := s.cache.FindByFingerprint(req.Fingerprint); ok {
 		// Already held (computed locally or previously replicated) — a
 		// cheap no-op, not an error, so repeated pulls converge.
-		writeJSON(w, http.StatusOK, map[string]any{"fingerprint": req.Fingerprint, "installed": false})
+		httpobs.WriteJSON(w, http.StatusOK, map[string]any{"fingerprint": req.Fingerprint, "installed": false})
 		return
 	}
 	url := strings.TrimRight(req.Source, "/") + "/v1/models/" + req.Fingerprint
 	preq, err := http.NewRequestWithContext(r.Context(), http.MethodGet, url, nil)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
+		httpobs.WriteError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
 	// The outbound fetch is a hop of the same logical operation: carry the
 	// request ID and trace context so the source replica's span joins the
 	// pulling request's trace.
-	if rid := r.Header.Get("X-Request-Id"); rid != "" {
-		preq.Header.Set("X-Request-Id", rid)
-	}
+	preq.Header.Set(httpobs.RequestIDHeader, r.Header.Get(httpobs.RequestIDHeader))
 	if tc, ok := telemetry.TraceFromContext(r.Context()); ok {
 		preq.Header.Set(telemetry.TraceCtxHeader, tc.String())
 	}
 	resp, err := s.pullClient.Do(preq)
 	if err != nil {
-		writeError(w, http.StatusBadGateway, "pulling model from %s: %v", req.Source, err)
+		httpobs.WriteError(w, http.StatusBadGateway, "pulling model from %s: %v", req.Source, err)
 		return
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
 		body, _ := io.ReadAll(io.LimitReader(resp.Body, 512))
-		writeError(w, http.StatusBadGateway, "source %s returned %d: %s",
+		httpobs.WriteError(w, http.StatusBadGateway, "source %s returned %d: %s",
 			req.Source, resp.StatusCode, strings.TrimSpace(string(body)))
 		return
 	}
 	var mm core.MachineModel
 	if err := json.NewDecoder(resp.Body).Decode(&mm); err != nil {
-		writeError(w, http.StatusBadGateway, "decoding model from %s: %v", req.Source, err)
+		httpobs.WriteError(w, http.StatusBadGateway, "decoding model from %s: %v", req.Source, err)
 		return
 	}
 	if err := s.installModel(req.Fingerprint, &mm); err != nil {
-		writeError(w, http.StatusBadGateway, "%v", err)
+		httpobs.WriteError(w, http.StatusBadGateway, "%v", err)
 		return
 	}
 	s.log.Info("model installed", "fingerprint", req.Fingerprint, "source", req.Source)
-	writeJSON(w, http.StatusOK, map[string]any{"fingerprint": req.Fingerprint, "installed": true})
+	httpobs.WriteJSON(w, http.StatusOK, map[string]any{"fingerprint": req.Fingerprint, "installed": true})
 }

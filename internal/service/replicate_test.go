@@ -147,8 +147,8 @@ func TestModelPull(t *testing.T) {
 }
 
 // TestRequestIDLogging: an X-Request-Id header shows up in the replica's
-// structured request log and is echoed on the response; requests without
-// one log no request_id attribute.
+// structured request log and is echoed on the response; a request without
+// one gets a minted ID, echoed and logged the same way.
 func TestRequestIDLogging(t *testing.T) {
 	var buf lockedBuffer
 	svc := service.New(service.Config{
@@ -174,11 +174,18 @@ func TestRequestIDLogging(t *testing.T) {
 		t.Errorf("log missing request_id:\n%s", logged)
 	}
 
-	// Without the header the attribute is absent entirely.
-	getJSON(t, ts.URL+"/healthz")
+	// Without the header numaiod mints an ID of its own.
+	resp, err = http.Get(ts.URL + "/healthz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	minted := resp.Header.Get("X-Request-Id")
+	if !strings.HasPrefix(minted, "d-") {
+		t.Fatalf("minted request ID = %q, want a d- prefix", minted)
+	}
 	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
-	last := lines[len(lines)-1]
-	if strings.Contains(last, "request_id") {
-		t.Errorf("bare request logged a request_id: %s", last)
+	if last := lines[len(lines)-1]; !strings.Contains(last, "request_id="+minted) {
+		t.Errorf("bare request logged without its minted ID %s: %s", minted, last)
 	}
 }

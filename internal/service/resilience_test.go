@@ -13,6 +13,7 @@ import (
 	"testing"
 	"time"
 
+	"numaio/internal/cli"
 	"numaio/internal/core"
 	"numaio/internal/resilience"
 	"numaio/internal/topology"
@@ -227,5 +228,69 @@ func TestRequestDeadlineIs504(t *testing.T) {
 	status, body := postBody(t, ts.URL+"/v1/characterize", resilienceBody)
 	if status != http.StatusGatewayTimeout {
 		t.Fatalf("hung characterization = %d %s, want 504", status, body)
+	}
+}
+
+// TestBreakersOnlyForFailingKeys: a breaker exists only while its model
+// key has unrecovered failures. Successful characterizations of many
+// distinct keys leave the breaker map empty, so it cannot grow with the
+// machines served; a failure adds one entry and the key's next success
+// drops it.
+func TestBreakersOnlyForFailingKeys(t *testing.T) {
+	m, err := cli.Machine("intel-4s4n")
+	if err != nil {
+		t.Fatal(err)
+	}
+	base, err := DefaultCharacterize(context.Background(), m, core.Config{Repeats: 1, Sigma: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var fail atomic.Bool
+	s := New(Config{
+		Workers:          1,
+		BreakerThreshold: 2,
+		Clock:            resilience.NewAutoClock(time.Unix(0, 0)),
+		Characterize: func(ctx context.Context, m *topology.Machine, cfg core.Config) (*core.MachineModel, error) {
+			if fail.Load() {
+				return nil, fmt.Errorf("induced failure")
+			}
+			mm := *base
+			return &mm, nil
+		},
+	})
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	breakers := func() int {
+		s.brMu.Lock()
+		defer s.brMu.Unlock()
+		return len(s.breakers)
+	}
+	body := func(repeats int) string {
+		return fmt.Sprintf(`{"machine": "intel-4s4n", "config": {"repeats": %d, "sigma": -1}}`, repeats)
+	}
+
+	const n = 16
+	for i := 1; i <= n; i++ {
+		if status, b := postBody(t, ts.URL+"/v1/characterize", body(i)); status != http.StatusOK {
+			t.Fatalf("characterize %d = %d %s", i, status, b)
+		}
+	}
+	if got := breakers(); got != 0 {
+		t.Fatalf("%d successful characterizations left %d breakers, want 0", n, got)
+	}
+
+	fail.Store(true)
+	if status, _ := postBody(t, ts.URL+"/v1/characterize", body(n+1)); status != http.StatusInternalServerError {
+		t.Fatalf("failing characterize = %d, want 500", status)
+	}
+	if got := breakers(); got != 1 {
+		t.Fatalf("after one failure: %d breakers, want 1", got)
+	}
+	fail.Store(false)
+	if status, b := postBody(t, ts.URL+"/v1/characterize", body(n+1)); status != http.StatusOK {
+		t.Fatalf("recovering characterize = %d %s", status, b)
+	}
+	if got := breakers(); got != 0 {
+		t.Fatalf("after recovery: %d breakers, want 0", got)
 	}
 }

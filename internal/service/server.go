@@ -11,22 +11,19 @@
 package service
 
 import (
-	"bytes"
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
 	"log/slog"
 	"net/http"
-	"strconv"
-	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 
+	"numaio/internal/cli"
 	"numaio/internal/core"
 	"numaio/internal/fabric"
+	"numaio/internal/httpobs"
 	"numaio/internal/numa"
 	"numaio/internal/resilience"
 	"numaio/internal/telemetry"
@@ -117,8 +114,7 @@ type Config struct {
 	FlightRecorderSize int
 	// FlightDump, when non-nil, receives an automatic flight-recorder dump
 	// on request failure (5xx) and breaker-open transitions, rate-limited
-	// to one dump per second. cmd/numaiod points it at stderr and also
-	// dumps on SIGQUIT via DumpFlightRecorder.
+	// to one dump per second. cmd/numaiod points it at stderr.
 	FlightDump io.Writer
 }
 
@@ -142,23 +138,17 @@ type Server struct {
 	// (push or pull) — the numaiod_models_installed_total series.
 	installs telemetry.Counter
 
-	// traces owns the /debug/trace lifecycle: the active recording plus
-	// the last stopped one, both still readable by in-flight spans.
-	traces telemetry.TraceControl
+	// obs is the shared request middleware and debug surface: request
+	// counters and latency, /debug/trace and the flight recorder.
+	obs *httpobs.Obs
 
-	// flight is the always-on flight recorder (nil when disabled);
-	// flightDump receives automatic dumps on request failures and
-	// breaker-open transitions, rate-limited via lastFlightDump.
-	flight         *telemetry.FlightRecorder
-	flightDump     io.Writer
-	lastFlightDump atomic.Int64
-
-	requestTimeout   time.Duration
 	retry            resilience.RetryPolicy
 	breakerThreshold int
 	breakerCooldown  time.Duration
 	clock            resilience.Clock
 
+	// breakers holds a circuit breaker per model key only while that key
+	// has unrecovered characterization failures.
 	brMu     sync.Mutex
 	breakers map[string]*resilience.Breaker
 }
@@ -171,7 +161,7 @@ func New(cfg Config) *Server {
 	}
 	logger := cfg.Logger
 	if logger == nil {
-		logger = slog.New(slog.NewTextHandler(io.Discard, nil))
+		logger = cli.Logger(true)
 	}
 	ch := cfg.Characterize
 	if ch == nil {
@@ -201,14 +191,6 @@ func New(cfg Config) *Server {
 	if pullClient == nil {
 		pullClient = &http.Client{Timeout: 30 * time.Second}
 	}
-	var flight *telemetry.FlightRecorder
-	if cfg.FlightRecorderSize >= 0 {
-		size := cfg.FlightRecorderSize
-		if size == 0 {
-			size = 4096
-		}
-		flight = telemetry.NewFlightRecorder(size)
-	}
 	s := &Server{
 		log:          logger,
 		cache:        NewModelCache(cfg.CacheEntries, ttl),
@@ -221,10 +203,15 @@ func New(cfg Config) *Server {
 		characterize: ch,
 		parallelism:  parallelism,
 		pullClient:   pullClient,
-		flight:       flight,
-		flightDump:   cfg.FlightDump,
+		obs: httpobs.New(httpobs.Config{
+			Name:               "numaiod",
+			Logger:             logger,
+			FlightRecorderSize: cfg.FlightRecorderSize,
+			FlightDump:         cfg.FlightDump,
+			RequestTimeout:     cfg.RequestTimeout,
+			Clock:              clock,
+		}),
 
-		requestTimeout:   cfg.RequestTimeout,
 		retry:            resilience.RetryPolicy{MaxRetries: cfg.Retries, Base: backoff},
 		breakerThreshold: cfg.BreakerThreshold,
 		breakerCooldown:  cooldown,
@@ -240,8 +227,7 @@ func New(cfg Config) *Server {
 // newExtraRegistry builds the telemetry registry rendered after the
 // historical metrics block on /metrics: solver and pool counters from
 // internal/fabric, measurement-worker occupancy from internal/core, and
-// the trace recorder's state. Pre-existing metric names are untouched —
-// these series are strictly additive.
+// the shared debug surface (trace and flight state, request latency).
 func newExtraRegistry(s *Server) *telemetry.Registry {
 	r := telemetry.NewRegistry()
 	r.IntCounterFunc("numaiod_solver_solves_total",
@@ -271,215 +257,30 @@ func newExtraRegistry(s *Server) *telemetry.Registry {
 	r.IntGaugeFunc("numaiod_measure_workers_busy",
 		"Measurement workers currently executing a characterization cell.",
 		core.ActiveMeasureWorkers)
-	r.IntGaugeFunc("numaiod_trace_active",
-		"Whether a /debug/trace recording is in progress.",
-		func() int64 {
-			if s.traces.Tracing() {
-				return 1
-			}
-			return 0
-		})
-	r.IntGaugeFunc("numaiod_trace_events",
-		"Events recorded by the active (or last stopped) trace.",
-		func() int64 { return int64(s.traces.Current().Len()) })
-	r.IntGaugeFunc("numaiod_flight_events",
-		"Events currently retained by the always-on flight recorder.",
-		func() int64 { return int64(s.flight.Len()) })
-	r.Register(telemetry.Series{
-		Name: "numaiod_request_seconds",
-		Type: "histogram",
-		Help: "v1 request latency, with the last request ID per bucket as an OpenMetrics-style exemplar.",
-		Collect: func(w io.Writer) {
-			h := s.metrics.RequestLatency()
-			counts := h.Counts()
-			bounds := h.Bounds()
-			var cum int64
-			writeBucket := func(le string, i int) {
-				fmt.Fprintf(w, "numaiod_request_seconds_bucket{le=%q} %d", le, cum)
-				if ex := h.Exemplar(i); ex != "" {
-					fmt.Fprintf(w, " # {request_id=%q}", ex)
-				}
-				fmt.Fprintln(w)
-			}
-			for i, le := range bounds {
-				cum += counts[i]
-				writeBucket(strconv.FormatFloat(le, 'g', -1, 64), i)
-			}
-			cum += counts[len(bounds)]
-			writeBucket("+Inf", len(bounds))
-			fmt.Fprintf(w, "numaiod_request_seconds_sum %g\n", h.Sum())
-			fmt.Fprintf(w, "numaiod_request_seconds_count %d\n", h.Total())
-		},
-	})
+	s.obs.RegisterDebug(r)
 	return r
 }
 
 func (s *Server) routes() {
-	s.handle("GET /healthz", "/healthz", s.handleHealthz)
-	s.handle("GET /metrics", "/metrics", s.handleMetrics)
-	s.handle("POST /v1/characterize", "/v1/characterize", s.handleCharacterize)
-	s.handle("GET /v1/models/{fingerprint}", "/v1/models", s.handleModel)
-	s.handle("PUT /v1/models/{fingerprint}", "/v1/models", s.handleModelInstall)
-	s.handle("POST /v1/models/pull", "/v1/models/pull", s.handleModelPull)
-	s.handle("GET /v1/jobs/{id}", "/v1/jobs", s.handleJob)
-	s.handle("POST /v1/predict", "/v1/predict", s.handlePredict)
-	s.handle("POST /v1/predict/batch", "/v1/predict/batch", s.handlePredictBatch)
-	s.handle("POST /v1/place", "/v1/place", s.handlePlace)
-	s.handle("POST /v1/whatif", "/v1/whatif", s.handleWhatif)
-	s.handle("POST /debug/trace/start", "/debug/trace/start", s.handleTraceStart)
-	s.handle("POST /debug/trace/stop", "/debug/trace/stop", s.handleTraceStop)
-	s.handle("GET /debug/trace", "/debug/trace", s.handleTraceDownload)
-	s.handle("GET /debug/flightrecorder", "/debug/flightrecorder", s.handleFlightRecorder)
+	handle := func(pattern, endpoint string, h http.HandlerFunc) { s.obs.Handle(s.mux, pattern, endpoint, h) }
+	handle("GET /healthz", "/healthz", s.handleHealthz)
+	handle("POST /v1/characterize", "/v1/characterize", s.handleCharacterize)
+	handle("GET /v1/models/{fingerprint}", "/v1/models", s.handleModel)
+	handle("PUT /v1/models/{fingerprint}", "/v1/models", s.handleModelInstall)
+	handle("POST /v1/models/pull", "/v1/models/pull", s.handleModelPull)
+	handle("GET /v1/jobs/{id}", "/v1/jobs", s.handleJob)
+	handle("POST /v1/predict", "/v1/predict", s.handlePredict)
+	handle("POST /v1/predict/batch", "/v1/predict/batch", s.handlePredictBatch)
+	handle("POST /v1/place", "/v1/place", s.handlePlace)
+	handle("POST /v1/whatif", "/v1/whatif", s.handleWhatif)
+	s.obs.Mount(s.mux, s.WriteMetrics)
 }
 
-// handle registers a pattern under the logging/metrics middleware. The
-// endpoint label aggregates path parameters (e.g. every /v1/models/{fp}
-// request counts under "/v1/models"). A configured RequestTimeout becomes
-// the request context's deadline here, so every handler inherits it.
-//
-// The middleware also owns trace-context propagation: an inbound
-// X-Trace-Ctx header (W3C traceparent syntax) is parsed and a child span
-// context derived from it — or a fresh one minted when absent/malformed —
-// echoed on the response and threaded through the request context so
-// downstream hops (model pulls) carry the same trace ID. v1 endpoints
-// additionally get a per-request stage breakdown (Server-Timing header),
-// the whole-request latency histogram with request-ID exemplars, and a
-// flight-recorder event.
-func (s *Server) handle(pattern, endpoint string, h http.HandlerFunc) {
-	isV1 := strings.HasPrefix(endpoint, "/v1/")
-	s.mux.HandleFunc(pattern, func(w http.ResponseWriter, r *http.Request) {
-		rec := &statusRecorder{ResponseWriter: w, status: http.StatusOK}
-		start := time.Now()
-		// A request ID arriving from the gateway (or any client) is echoed
-		// on the response and joined to the request log, so one forwarded
-		// request is traceable across hops.
-		rid := r.Header.Get("X-Request-Id")
-		if rid != "" {
-			w.Header().Set("X-Request-Id", rid)
-		}
-		var tc telemetry.TraceContext
-		if in, ok := telemetry.ParseTraceContext(r.Header.Get(telemetry.TraceCtxHeader)); ok {
-			tc = in.Child()
-		} else {
-			tc = telemetry.NewTraceContext()
-		}
-		w.Header().Set(telemetry.TraceCtxHeader, tc.String())
-		r = r.WithContext(telemetry.ContextWithTrace(r.Context(), tc))
-		var stg *telemetry.Stages
-		if isV1 {
-			stg = telemetry.NewStages()
-			rec.stages = stg
-			r = r.WithContext(telemetry.ContextWithStages(r.Context(), stg))
-		}
-		if s.requestTimeout > 0 {
-			ctx, cancel := resilience.ContextWithTimeout(r.Context(), s.clock, s.requestTimeout)
-			defer cancel()
-			r = r.WithContext(ctx)
-		}
-		// One span per request on the active trace. The explicit nil guard
-		// (rather than relying on nil-tracer no-ops) keeps the untraced
-		// fast path free of the variadic attr allocations.
-		var span *telemetry.Span
-		if tr := s.traces.Active(); tr != nil {
-			span = tr.StartSpan(endpoint, "http",
-				telemetry.String("method", r.Method),
-				telemetry.String("trace_id", tc.TraceID),
-				telemetry.String("span_id", tc.SpanID))
-		}
-		h(rec, r)
-		if span != nil {
-			span.SetAttr(telemetry.Int("status", rec.status))
-			span.End()
-		}
-		elapsed := time.Since(start)
-		s.metrics.ObserveRequest(endpoint, rec.status)
-		if isV1 {
-			s.metrics.ObserveRequestLatency(elapsed.Seconds(), rid)
-			s.flight.Record(telemetry.FlightEvent{
-				Time:    start.UnixNano(),
-				Dur:     elapsed,
-				Status:  rec.status,
-				Name:    endpoint,
-				Cat:     "http",
-				RID:     rid,
-				TraceID: tc.TraceID,
-			})
-			if rec.status >= http.StatusInternalServerError {
-				s.dumpFlight(fmt.Sprintf("status %d on %s", rec.status, endpoint))
-			}
-		}
-		attrs := []any{
-			"method", r.Method,
-			"path", r.URL.Path,
-			"status", rec.status,
-			"duration", elapsed,
-			"bytes", rec.bytes,
-			"remote", r.RemoteAddr,
-			"trace_id", tc.TraceID,
-		}
-		if rid != "" {
-			attrs = append(attrs, "request_id", rid)
-		}
-		attrs = stg.AppendLogAttrs(attrs)
-		s.log.Info("request", attrs...)
-	})
-}
-
-// statusRecorder captures the response status and byte count, and — when
-// the middleware attached a stage breakdown — injects the Server-Timing
-// header at WriteHeader time, the last moment headers are mutable.
-type statusRecorder struct {
-	http.ResponseWriter
-	status int
-	bytes  int
-	stages *telemetry.Stages
-}
-
-func (r *statusRecorder) WriteHeader(code int) {
-	if st := r.stages.Header(); st != "" {
-		r.ResponseWriter.Header().Set("Server-Timing", st)
-	}
-	r.status = code
-	r.ResponseWriter.WriteHeader(code)
-}
-
-func (r *statusRecorder) Write(p []byte) (int, error) {
-	n, err := r.ResponseWriter.Write(p)
-	r.bytes += n
-	return n, err
-}
-
-// dumpFlight writes one flight-recorder dump to the configured FlightDump
-// writer, rate-limited to one per second so a failure storm cannot flood
-// the log stream.
-func (s *Server) dumpFlight(reason string) {
-	if s.flightDump == nil || s.flight == nil {
-		return
-	}
-	now := time.Now().UnixNano()
-	last := s.lastFlightDump.Load()
-	if now-last < int64(time.Second) || !s.lastFlightDump.CompareAndSwap(last, now) {
-		return
-	}
-	fmt.Fprintf(s.flightDump, "numaiod flight recorder dump (%s):\n", reason)
-	_ = s.flight.WriteJSON(s.flightDump)
-	fmt.Fprintln(s.flightDump)
-}
-
-// DumpFlightRecorder writes the flight recorder's JSON snapshot to w —
-// cmd/numaiod wires it to SIGQUIT. It reports an error when the recorder
-// is disabled.
-func (s *Server) DumpFlightRecorder(w io.Writer) error {
-	if s.flight == nil {
-		return errors.New("service: flight recorder disabled")
-	}
-	return s.flight.WriteJSON(w)
-}
-
-// WriteMetrics renders the full /metrics payload: the historical block
-// followed by the additive registry series. Exported so tests can pin the
+// WriteMetrics renders the full /metrics payload: request counts, the
+// historical block, then the additive registry series. Exported so tests can pin the
 // exposition format without an HTTP round trip.
 func (s *Server) WriteMetrics(w io.Writer) {
+	s.obs.RequestsSeries().Render(w)
 	s.metrics.WriteTo(w, s.cache.Stats(), s.predictCache.Stats(), s.placeCache.Stats(),
 		s.pool.InFlight(), s.openBreakers())
 	s.registry.Render(w)
@@ -491,8 +292,9 @@ func (s *Server) Handler() http.Handler { return s.mux }
 // Cache exposes the model cache (metrics, tests).
 func (s *Server) Cache() *ModelCache { return s.cache }
 
-// Metrics exposes the metrics registry (tests).
-func (s *Server) Metrics() *Metrics { return s.metrics }
+// Obs exposes the request middleware and debug surface: request counts,
+// the flight recorder and its SIGQUIT dump.
+func (s *Server) Obs() *httpobs.Obs { return s.obs }
 
 // Drain stops admitting async work and waits for in-flight jobs, honouring
 // ctx as the deadline. Call after http.Server.Shutdown during graceful
@@ -516,11 +318,10 @@ func (s *Server) characterizeCached(ctx context.Context, m *topology.Machine, cf
 	// Record onto the active /debug/trace, if one is running. The tracer
 	// shapes no results and configKey never includes it, so traced and
 	// untraced runs share cache entries.
-	cfg.Tracer = s.traces.Active()
+	cfg.Tracer = s.obs.Traces().Active()
 	key := fp + "|" + configKey(cfg)
 
-	br := s.breakerFor(key)
-	if br != nil && !br.Allow() {
+	if !s.breakerAllows(key) {
 		if mm, ok := s.cache.GetStale(key); ok {
 			s.metrics.ObserveStaleServed()
 			return mm, fp, true, true, nil
@@ -573,12 +374,8 @@ func (s *Server) characterizeCached(ctx context.Context, m *topology.Machine, cf
 	// Only the caller that actually computed (or failed to) moves the
 	// breaker; cache hits and coalesced followers say nothing about the
 	// machine's health.
-	if br != nil && !cached {
-		if err != nil {
-			br.Failure()
-		} else {
-			br.Success()
-		}
+	if !cached {
+		s.breakerRecord(key, err)
 	}
 	if err != nil {
 		if mm, ok := s.cache.GetStale(key); ok {
@@ -592,33 +389,66 @@ func (s *Server) characterizeCached(ctx context.Context, m *topology.Machine, cf
 	return mm, fp, cached, false, nil
 }
 
-// breakerFor returns the circuit breaker guarding one cache key, creating
-// it on first use; nil when breakers are disabled.
-func (s *Server) breakerFor(key string) *resilience.Breaker {
+// breakerAllows reports whether key's circuit breaker admits a
+// characterization. A key without a breaker has no unrecovered failures,
+// so it is admitted.
+func (s *Server) breakerAllows(key string) bool {
 	if s.breakerThreshold <= 0 {
-		return nil
+		return true
 	}
 	s.brMu.Lock()
-	defer s.brMu.Unlock()
-	br, ok := s.breakers[key]
-	if !ok {
-		br = resilience.NewBreaker(s.breakerThreshold, s.breakerCooldown, s.clock)
-		br.SetTransitionHook(func(from, to resilience.BreakerState) {
-			s.traces.Active().Instant("breaker-"+to.String(), "resilience",
-				telemetry.String("from", from.String()),
-				telemetry.String("key", key))
-			s.flight.Record(telemetry.FlightEvent{
-				Time:   time.Now().UnixNano(),
-				Name:   "breaker-" + to.String(),
-				Cat:    "resilience",
-				Detail: "key=" + key + " from=" + from.String(),
-			})
-			if to == resilience.BreakerOpen {
-				s.dumpFlight("breaker open: " + key)
-			}
-		})
+	br := s.breakers[key]
+	s.brMu.Unlock()
+	return br == nil || br.Allow()
+}
+
+// breakerRecord moves key's breaker by one characterization outcome. A
+// failure creates the breaker on first use; a success closes it and drops
+// it, so the map holds only keys with unrecovered failures and does not
+// grow with the number of machines served. The breaker itself is moved
+// outside brMu: its transition hook may write a flight dump.
+func (s *Server) breakerRecord(key string, err error) {
+	if s.breakerThreshold <= 0 {
+		return
+	}
+	s.brMu.Lock()
+	br := s.breakers[key]
+	if br == nil && err != nil {
+		br = s.newBreaker(key)
 		s.breakers[key] = br
 	}
+	s.brMu.Unlock()
+	switch {
+	case err != nil:
+		br.Failure()
+	case br != nil:
+		br.Success()
+		s.brMu.Lock()
+		if s.breakers[key] == br && br.State() == resilience.BreakerClosed {
+			delete(s.breakers, key)
+		}
+		s.brMu.Unlock()
+	}
+}
+
+// newBreaker builds key's breaker, with its transitions recorded on the
+// active trace and the flight recorder and an open dumping the recorder.
+func (s *Server) newBreaker(key string) *resilience.Breaker {
+	br := resilience.NewBreaker(s.breakerThreshold, s.breakerCooldown, s.clock)
+	br.SetTransitionHook(func(from, to resilience.BreakerState) {
+		s.obs.Traces().Active().Instant("breaker-"+to.String(), "resilience",
+			telemetry.String("from", from.String()),
+			telemetry.String("key", key))
+		s.obs.Flight().Record(telemetry.FlightEvent{
+			Time:   time.Now().UnixNano(),
+			Name:   "breaker-" + to.String(),
+			Cat:    "resilience",
+			Detail: "key=" + key + " from=" + from.String(),
+		})
+		if to == resilience.BreakerOpen {
+			s.obs.Dump("breaker open: " + key)
+		}
+	})
 	return br
 }
 
@@ -659,103 +489,19 @@ func configKey(cfg core.Config) string {
 		cfg.Threads, cfg.Repeats, int64(cfg.BytesPerThread), cfg.GapThreshold, cfg.Sigma)
 }
 
-// jsonEncoder is a pooled buffer+encoder pair so the hot serving path does
-// not rebuild a json.Encoder (and grow a fresh buffer) per response.
-type jsonEncoder struct {
-	buf bytes.Buffer
-	enc *json.Encoder
-}
-
-var encPool = sync.Pool{New: func() any {
-	e := &jsonEncoder{}
-	e.enc = json.NewEncoder(&e.buf)
-	e.enc.SetIndent("", "  ")
-	return e
-}}
-
-// encodeJSON renders v exactly as writeJSON does (two-space indent,
-// trailing newline) into a freshly owned byte slice, via the encoder pool.
-func encodeJSON(v any) ([]byte, error) {
-	e := encPool.Get().(*jsonEncoder)
-	e.buf.Reset()
-	if err := e.enc.Encode(v); err != nil {
-		encPool.Put(e)
-		return nil, err
-	}
-	body := make([]byte, e.buf.Len())
-	copy(body, e.buf.Bytes())
-	encPool.Put(e)
-	return body, nil
-}
-
-// writeJSON encodes v with a status code, charging the encode time to the
-// request's "encode" stage when the middleware attached one.
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	start := time.Now()
-	e := encPool.Get().(*jsonEncoder)
-	e.buf.Reset()
-	if err := e.enc.Encode(v); err != nil {
-		encPool.Put(e)
-		http.Error(w, err.Error(), http.StatusInternalServerError)
-		return
-	}
-	addEncodeStage(w, time.Since(start))
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	_, _ = w.Write(e.buf.Bytes())
-	encPool.Put(e)
-}
-
-// addEncodeStage attributes one encode duration to the request's stage
-// breakdown, reaching the Stages through the middleware's statusRecorder.
-func addEncodeStage(w http.ResponseWriter, d time.Duration) {
-	if rec, ok := w.(*statusRecorder); ok {
-		rec.stages.Add("encode", d)
-	}
-}
-
-// writeJSONBytes serves an already rendered JSON body (response-cache
-// hits).
-func writeJSONBytes(w http.ResponseWriter, status int, body []byte) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	_, _ = w.Write(body)
-}
-
 // writeJSONCached renders v once, serves it, and retains the bytes in
 // cache under key when the response is a 200 — the store half of the
 // serving fast lane.
 func writeJSONCached(w http.ResponseWriter, status int, v any, cache *RespCache, key string) {
 	if status != http.StatusOK || cache == nil {
-		writeJSON(w, status, v)
+		httpobs.WriteJSON(w, status, v)
 		return
 	}
-	start := time.Now()
-	body, err := encodeJSON(v)
+	body, err := httpobs.EncodeJSON(w, v)
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusInternalServerError)
 		return
 	}
-	addEncodeStage(w, time.Since(start))
 	cache.Put(key, body)
-	writeJSONBytes(w, status, body)
-}
-
-// apiError is the uniform error body.
-type apiError struct {
-	Error string `json:"error"`
-}
-
-func writeError(w http.ResponseWriter, status int, format string, args ...any) {
-	writeJSON(w, status, apiError{Error: fmt.Sprintf(format, args...)})
-}
-
-// decodeBody strictly decodes a JSON request body into v.
-func decodeBody(r *http.Request, v any) error {
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
-		return fmt.Errorf("invalid JSON body: %w", err)
-	}
-	return nil
+	httpobs.WriteJSONBytes(w, status, body)
 }

@@ -198,10 +198,9 @@ func TestTraceLifecycleConcurrent(t *testing.T) {
 	}
 }
 
-// TestMetricsAndRespCacheConcurrent hammers the request-path counters from
-// 32 goroutines — the sharded-counter replacement for the old single-mutex
-// Metrics — alongside a RespCache, and checks nothing is lost. Run under
-// -race in CI.
+// TestMetricsAndRespCacheConcurrent hammers the characterization counters
+// from 32 goroutines alongside a RespCache, and checks nothing is lost.
+// Run under -race in CI.
 func TestMetricsAndRespCacheConcurrent(t *testing.T) {
 	m := service.NewMetrics()
 	rc := service.NewRespCache(64, time.Minute)
@@ -213,8 +212,6 @@ func TestMetricsAndRespCacheConcurrent(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			for i := 0; i < per; i++ {
-				m.ObserveRequest("/v1/predict", 200)
-				m.ObserveRequest("/v1/place", 400+w%2)
 				m.ObserveCharacterization(time.Duration(i%7) * time.Millisecond)
 				m.ObserveCharacterizeRetry()
 				m.ObserveStaleServed()
@@ -226,12 +223,6 @@ func TestMetricsAndRespCacheConcurrent(t *testing.T) {
 	}
 	wg.Wait()
 
-	if got := m.RequestCount("/v1/predict"); got != workers*per {
-		t.Errorf("predict requests = %d, want %d", got, workers*per)
-	}
-	if got := m.RequestCount("/v1/place"); got != workers*per {
-		t.Errorf("place requests = %d, want %d", got, workers*per)
-	}
 	if got := m.StaleServed(); got != workers*per {
 		t.Errorf("stale served = %d, want %d", got, workers*per)
 	}

@@ -6,6 +6,7 @@ import (
 	"math"
 	"math/rand/v2"
 	"sort"
+	"strconv"
 	"sync"
 	"sync/atomic"
 )
@@ -194,6 +195,30 @@ func (h *BucketHistogram) Sum() float64 { return math.Float64frombits(h.sum.Load
 // Total returns the number of observations.
 func (h *BucketHistogram) Total() int64 { return h.total.Load() }
 
+// HistogramSeries is h as a histogram family: cumulative buckets, each
+// followed by its exemplar as a `# {request_id="…"}` comment when one was
+// recorded, then the sum and count.
+func HistogramSeries(name, help string, h *BucketHistogram) Series {
+	return Series{Name: name, Type: "histogram", Help: help, Collect: func(w io.Writer) {
+		counts, bounds := h.Counts(), h.Bounds()
+		var cum int64
+		for i, n := range counts {
+			cum += n
+			le := "+Inf"
+			if i < len(bounds) {
+				le = strconv.FormatFloat(bounds[i], 'g', -1, 64)
+			}
+			fmt.Fprintf(w, "%s_bucket{le=%q} %d", name, le, cum)
+			if ex := h.Exemplar(i); ex != "" {
+				fmt.Fprintf(w, " # {request_id=%q}", ex)
+			}
+			fmt.Fprintln(w)
+		}
+		fmt.Fprintf(w, "%s_sum %g\n", name, h.Sum())
+		fmt.Fprintf(w, "%s_count %d\n", name, h.Total())
+	}}
+}
+
 // Series is one named metric family the Registry renders: HELP and TYPE
 // lines followed by whatever samples Collect writes.
 type Series struct {
@@ -227,10 +252,15 @@ func (r *Registry) Render(w io.Writer) {
 	series := r.series
 	r.mu.Unlock()
 	for _, s := range series {
-		fmt.Fprintf(w, "# HELP %s %s\n", s.Name, s.Help)
-		fmt.Fprintf(w, "# TYPE %s %s\n", s.Name, s.Type)
-		s.Collect(w)
+		s.Render(w)
 	}
+}
+
+// Render writes the family on its own: HELP and TYPE lines, then samples.
+func (s Series) Render(w io.Writer) {
+	fmt.Fprintf(w, "# HELP %s %s\n", s.Name, s.Help)
+	fmt.Fprintf(w, "# TYPE %s %s\n", s.Name, s.Type)
+	s.Collect(w)
 }
 
 // CounterSeries registers a sharded counter as a single-sample family.

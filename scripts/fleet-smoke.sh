@@ -134,6 +134,13 @@ curl -fsS -o "$workdir/resp" -X POST -d "$place" "$gw/v1/fleet/place" || fail "f
 grep -q '"host"' "$workdir/resp" || fail "fleet place returned no host"
 grep -q '"degraded": false' "$workdir/resp" || fail "healthy fleet place marked degraded"
 
+# The gateway enforces the same 4 MiB body cap as the replicas: 413, and
+# the oversized body is never forwarded.
+{ printf '{"machine": "'; head -c 4195328 /dev/zero | tr '\0' x; printf '"}'; } >"$workdir/big.json"
+code=$(curl -sS -o "$workdir/resp" -w '%{http_code}' -X POST --data-binary @"$workdir/big.json" "$gw/v1/predict")
+[ "$code" = 413 ] || fail "oversized predict body through the gateway got HTTP $code, want 413"
+grep -q '4194304-byte cap' "$workdir/resp" || fail "gateway 413 body does not name the cap"
+
 # Load through the gateway: every request must survive the extra hop.
 echo "fleet-smoke: numaioload against $gw"
 "$workdir/numaioload" -addr "$gw" -endpoint predict \

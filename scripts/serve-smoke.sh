@@ -66,8 +66,17 @@ grep -q '"stale"' "$workdir/resp" && fail "healthy characterize marked stale"
 
 predict='{"machine": "intel-4s4n", "config": {"repeats": 1, "sigma": -1},
           "target": 0, "mode": "write", "mix": {"0": 0.5, "2": 0.5}}'
-curl -fsS -o "$workdir/resp" -X POST -d "$predict" "$base/v1/predict"
+curl -fsS -o "$workdir/resp" -D "$workdir/hdrs" -X POST -d "$predict" "$base/v1/predict"
 grep -q '"predicted_bps"' "$workdir/resp" || fail "/v1/predict returned no prediction"
+# A request arriving without an X-Request-Id gets one minted.
+grep -iq '^x-request-id: d-' "$workdir/hdrs" || fail "direct predict got no minted X-Request-Id"
+
+# A body over the 4 MiB cap is refused with 413, not read whole. The body
+# is an unterminated JSON string, so only the cap can stop the decoder.
+{ printf '{"machine": "'; head -c 4195328 /dev/zero | tr '\0' x; printf '"}'; } >"$workdir/big.json"
+code=$(curl -sS -o "$workdir/resp" -w '%{http_code}' -X POST --data-binary @"$workdir/big.json" "$base/v1/predict")
+[ "$code" = 413 ] || fail "oversized predict body got HTTP $code, want 413"
+grep -q '4194304-byte cap' "$workdir/resp" || fail "413 body does not name the cap"
 
 # Serving fast lane: a short closed-loop load run must complete with a
 # non-zero RPS, and the repeated identical requests must land as response
